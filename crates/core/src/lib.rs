@@ -88,6 +88,6 @@ pub use codec::{Codec, CodecError, CODEC_VERSION};
 pub use error::ModelError;
 pub use intervals::{IdleCursor, IdleHistogram, IdleRecorder};
 pub use model::{CycleCounts, EnergyModel, NormalizedEnergy};
-pub use policy_eval::{GridEval, PolicyForm};
+pub use policy_eval::{GridEval, PlaneEval, PlaneRuns, PolicyForm};
 pub use spectrum::IntervalSpectrum;
 pub use tech::TechnologyParams;

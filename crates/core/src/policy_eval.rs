@@ -350,7 +350,7 @@ const GS_FAST_T_MAX: u64 = 1 << 52;
 /// `active_cycles` never move off their base values, so they are
 /// carried by the fold instead). Struct-of-arrays so the per-entry
 /// lane passes read and write contiguous memory.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LaneAcc {
     lh: Vec<f64>,
     ll: Vec<f64>,
@@ -978,7 +978,7 @@ fn ts_pass(
 /// ascending `slices` so the ascending spectrum traversal splits the
 /// lanes at a rolling partition point (saturated `slices <= t` prefix,
 /// ramping suffix).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct GsLanes {
     slot: Vec<usize>,
     /// Batch item each lane belongs to (its model and output range).
@@ -1061,7 +1061,7 @@ impl GsLanes {
 /// A TimeoutSleep lane, sorted by ascending `timeout`: the ascending
 /// traversal partitions lanes into a sleeping `timeout < t` prefix and
 /// an AlwaysActive-shaped suffix.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct TsLanes {
     slot: Vec<usize>,
     /// Batch item each lane belongs to.
@@ -1083,7 +1083,7 @@ struct TsLanes {
 /// An AdaptiveSleep lane — history-dependent, so it replays the
 /// scalar recurrence verbatim (one pass per lane), against its own
 /// item's model constants.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct AdLane {
     slot: usize,
     breakeven: f64,
@@ -1131,17 +1131,19 @@ struct AdLane {
 /// constant arrays — each lane still evaluates its exact scalar
 /// expression tree, in the same ascending-entry order, so batch
 /// results stay bit-identical to [`spectrum_run`] per `(model, form)`.
-/// Design-space explorers stepping a technology axis batch the models
-/// that share a benchmark's spectra and amortize the per-entry decode
-/// and partition walks across all of them.
+/// [`PlaneEval`] builds on this to price a whole technology plane from
+/// one batch per axis value instead of one lane set per point.
 ///
 /// `new`/`new_batch` validate and allocate; [`GridEval::run`] is
 /// allocation-free and reusable across spectra (reset-not-rebuild,
 /// like the timing kernels).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GridEval {
     /// Items in the batch; the single-model constructors make this 1.
     n_items: usize,
+    /// Items with family lanes: `n_items` when the batch holds any
+    /// AlwaysActive/MaxSleep/NoOverhead form, else 0.
+    n_fam_items: usize,
     // Per-item per-cycle model constants, indexed by item — the family
     // pass's lane-constant arrays.
     fam_ui_lh: Vec<f64>,
@@ -1181,11 +1183,14 @@ impl GridEval {
     /// amortizes per-entry decode, the partition walk, and the
     /// traversal's fixed overhead across every item, but the win
     /// inverts once the per-lane working set (seven accumulator rows
-    /// plus the per-lane constants and ramp rows) outgrows L1 — at the
-    /// default 68-form grid, four items ≈ 15 KiB of accumulators.
-    /// Measured on the `repro bench` explore workload: 4 beats both 1
-    /// (~20% faster) and 22 (~25% faster). Callers with many models to
-    /// price should renew one kernel over `chunks(PREFERRED_BATCH)`.
+    /// plus the per-lane constants and ramp rows) outgrows L1 — at a
+    /// 68-form grid, four items ≈ 15 KiB of accumulators. Measured
+    /// when the explorer still priced every point's model: 4 beat both
+    /// 1 (~20% faster) and 22 (~25% faster). [`PlaneEval`] fuses its
+    /// shared-row models in groups of this size (2–8 measured alike),
+    /// and `repro bench`'s grid workload groups its models by it.
+    /// Callers with many models to price should renew one kernel over
+    /// `chunks(PREFERRED_BATCH)`.
     pub const PREFERRED_BATCH: usize = 4;
 
     /// Builds a grid over `forms` for `model`. Allocates everything
@@ -1214,6 +1219,7 @@ impl GridEval {
     pub fn new_batch(items: &[(&EnergyModel, &[PolicyForm])]) -> Self {
         let mut grid = GridEval {
             n_items: 0,
+            n_fam_items: 0,
             fam_ui_lh: Vec::new(),
             fam_ui_ll: Vec::new(),
             fam_sl_ll: Vec::new(),
@@ -1261,8 +1267,15 @@ impl GridEval {
     /// As [`GridEval::new_batch`], on invalid policy parameters or an
     /// empty batch.
     pub fn renew_batch(&mut self, items: &[(&EnergyModel, &[PolicyForm])]) {
-        assert!(!items.is_empty(), "renew_batch needs at least one item");
-        self.n_items = items.len();
+        self.renew_items(items.iter().copied());
+    }
+
+    /// [`GridEval::renew_batch`] over any item sequence, so a caller
+    /// that derives its items (like [`PlaneEval`]) needs no item list.
+    fn renew_items<'a>(
+        &mut self,
+        items: impl IntoIterator<Item = (&'a EnergyModel, &'a [PolicyForm])>,
+    ) {
         self.fam_ui_lh.clear();
         self.fam_ui_ll.clear();
         self.fam_sl_ll.clear();
@@ -1276,7 +1289,7 @@ impl GridEval {
         let mut gs_params: Vec<(u64, usize, usize)> = Vec::new();
         let mut ts_params: Vec<(u64, usize, usize)> = Vec::new();
         let mut out_len = 0;
-        for (item, &(model, forms)) in items.iter().enumerate() {
+        for (item, (model, forms)) in items.into_iter().enumerate() {
             let ui = model.uncontrolled_idle_cycle();
             let sl = model.sleep_cycle();
             let tr = model.transition();
@@ -1314,6 +1327,16 @@ impl GridEval {
             }
             out_len += forms.len();
         }
+        self.n_items = self.item_act.len();
+        assert!(self.n_items > 0, "renew_batch needs at least one item");
+        // The parameterless families price one lane per item each, so a
+        // batch without them (TimeoutSleep-only items, say) skips the
+        // family pass instead of pricing three unread lanes per item.
+        self.n_fam_items = if self.aa.is_empty() && self.ms.is_empty() && self.no.is_empty() {
+            0
+        } else {
+            self.n_items
+        };
         gs_params.sort_unstable();
         let same_slices = self.gs.slices.len() == gs_params.len()
             && gs_params
@@ -1392,7 +1415,7 @@ impl GridEval {
         self.act_trn.clear();
         self.act_ovh.clear();
         for _family in 0..3 {
-            for act in &self.item_act {
+            for act in &self.item_act[..self.n_fam_items] {
                 self.act_lh.push(act.leak_hi);
                 self.act_ll.push(act.leak_lo);
                 self.act_trn.push(act.transition);
@@ -1406,9 +1429,9 @@ impl GridEval {
             self.act_trn.push(act.transition);
             self.act_ovh.push(act.overhead);
         }
-        self.dyn_scratch.resize(items.len(), 0.0);
+        self.dyn_scratch.resize(self.n_items, 0.0);
         self.acc
-            .resize(3 * items.len() + self.gs.slot.len() + self.ts.slot.len());
+            .resize(3 * self.n_fam_items + self.gs.slot.len() + self.ts.slot.len());
         self.out.resize(out_len, PolicyRun::default());
     }
 
@@ -1447,7 +1470,7 @@ impl GridEval {
             &self.act_ovh,
             cycles_f,
         );
-        let n_fam = 3 * self.n_items;
+        let n_fam = 3 * self.n_fam_items;
         let n_gs = self.gs.slot.len();
         let n_ts = self.ts.slot.len();
         let gs0 = n_fam;
@@ -1469,21 +1492,23 @@ impl GridEval {
         // vectorized over the batch (the per-entry, per-lane deltas
         // are exactly the scalar evaluator's per-interval values times
         // the entry count, added in the same ascending order).
-        fam_pass(
-            f_lh,
-            f_ll,
-            f_trn,
-            f_ovh,
-            f_uie,
-            f_slp,
-            f_teq,
-            &self.fam_ui_lh,
-            &self.fam_ui_ll,
-            &self.fam_sl_ll,
-            &self.fam_tr_t,
-            &self.fam_tr_o,
-            entries,
-        );
+        if self.n_fam_items > 0 {
+            fam_pass(
+                f_lh,
+                f_ll,
+                f_trn,
+                f_ovh,
+                f_uie,
+                f_slp,
+                f_teq,
+                &self.fam_ui_lh,
+                &self.fam_ui_ll,
+                &self.fam_sl_ll,
+                &self.fam_tr_t,
+                &self.fam_tr_o,
+                entries,
+            );
+        }
         // Parameterized families next. The rolling partition points
         // into the sorted lane arrays — the saturated GradualSleep
         // prefix and the sleeping TimeoutSleep prefix — only ever
@@ -1628,7 +1653,7 @@ impl GridEval {
             *dynamic = act.dynamic * cycles_f;
         }
         let acc = &self.acc;
-        let m = self.n_items;
+        let m = self.n_fam_items;
         for &(slot, item) in &self.aa {
             self.out[slot] = acc.fold(item, self.dyn_scratch[item], active_cycles);
         }
@@ -1669,6 +1694,277 @@ impl GridEval {
             }
         }
         &self.out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Technology-plane evaluation: every axis value priced once.
+// ---------------------------------------------------------------------------
+
+/// Plane points fused into one [`PlaneEval`] per-point traversal. Each
+/// carries only its varying forms (a TimeoutSleep lane, say), so many
+/// points share a traversal; 32–256 measured alike on the default
+/// explore grid, 8 about 1.8× slower. (Shared rows fuse
+/// [`GridEval::PREFERRED_BATCH`] models, each with every shared form.)
+const PLANE_POINT_BATCH: usize = 64;
+
+/// Where a [`PlaneEval`] prices one form position.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PlaneSlot {
+    /// The same form at every point: index into the shared forms.
+    Shared(usize),
+    /// A form that varies over the plane: index into a point's
+    /// varying forms.
+    Point(usize),
+}
+
+/// The priced runs of a [`PlaneEval`]: shared-form rows plus the
+/// per-point runs of varying forms, composed into per-point runs on
+/// read by [`PlaneRuns::point`].
+#[derive(Debug, Clone)]
+pub struct PlaneRuns {
+    n_leak: usize,
+    n_trans: usize,
+    slots: Vec<PlaneSlot>,
+    n_shared: usize,
+    n_varying: usize,
+    /// `(n_leak + n_trans) × n_shared`: the `p` rows, then the `E_slp`
+    /// rows, each in shared-form order.
+    rows: Vec<PolicyRun>,
+    /// `n_leak × n_trans × n_varying`, point-major.
+    points: Vec<PolicyRun>,
+}
+
+impl PlaneRuns {
+    /// The run of form `form_i` at plane point `(leak_i, trans_i)`,
+    /// bit-identical to pricing that point's model alone. A shared
+    /// form's run is its `p` row with `energy.overhead` taken from its
+    /// `E_slp` row.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an index outside the plane or the form list.
+    pub fn point(&self, leak_i: usize, trans_i: usize, form_i: usize) -> PolicyRun {
+        assert!(
+            leak_i < self.n_leak && trans_i < self.n_trans,
+            "plane point ({leak_i}, {trans_i}) outside {}x{}",
+            self.n_leak,
+            self.n_trans
+        );
+        match self.slots[form_i] {
+            PlaneSlot::Shared(s) => {
+                let mut run = self.rows[leak_i * self.n_shared + s];
+                run.energy.overhead = self.rows[(self.n_leak + trans_i) * self.n_shared + s]
+                    .energy
+                    .overhead;
+                run
+            }
+            PlaneSlot::Point(v) => {
+                self.points[(leak_i * self.n_trans + trans_i) * self.n_varying + v]
+            }
+        }
+    }
+}
+
+/// Prices one policy grid at every point of a `p × E_slp` technology
+/// plane (fixed `k`, `d`, `α`), each point bit-identical to
+/// [`spectrum_run`] under that point's model.
+///
+/// Every field of a lane carries at most one of the two knobs:
+/// `leak_hi`/`leak_lo` depend on `p` alone, `overhead` on `E_slp`
+/// alone, and the rest (`dynamic`, `transition`, the cycle and
+/// transition equivalents) on neither. So a form that is the *same* at
+/// every point (the parameterless families and fixed-slice
+/// GradualSleep; also any other form that happens not to vary) is
+/// priced once per axis value instead of once per point: one
+/// [`GridEval`] run down the `p` axis (column 0's models) and one
+/// across the `E_slp` axis (row 0's models). Point `(i, j)` is `p` row
+/// `i` with `energy.overhead` from `E_slp` row `j` — the very lane
+/// values the point's own model would compute, since each shared field
+/// is the same expression tree over the same constants, added in the
+/// same ascending-entry order. Forms that vary over the plane
+/// (TimeoutSleep and AdaptiveSleep derive their parameters from the
+/// breakeven interval) are priced per point, many points per
+/// traversal.
+///
+/// [`PlaneEval::run`] sums each lane over a list of spectra in order —
+/// how a multi-FU workload's per-FU runs roll up — and is
+/// allocation-free after [`PlaneEval::new`].
+#[derive(Debug, Clone)]
+pub struct PlaneEval {
+    /// Every point's model, row-major (`leak_i * n_trans + trans_i`).
+    models: Vec<EnergyModel>,
+    /// The `p` axis models (column 0), then the `E_slp` axis models
+    /// (row 0).
+    row_models: Vec<EnergyModel>,
+    shared: Vec<PolicyForm>,
+    /// Each point's varying forms, point-major.
+    varying: Vec<PolicyForm>,
+    grid: GridEval,
+    runs: PlaneRuns,
+}
+
+impl PlaneEval {
+    /// Builds the evaluator for the plane `models` (row-major, one row
+    /// per `p` value, `n_trans` columns, one per `E_slp` value) and
+    /// `n_forms` form positions, `form_at(model, f)` resolving position
+    /// `f` at a point. A position is shared when it resolves to the same
+    /// form at every point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the models do not tile an `n_leak × n_trans` plane,
+    /// disagree on `k`, `d` or `α`, or take `p` from anywhere but their
+    /// row and `E_slp` from anywhere but their column; and, as
+    /// [`GridEval::new`], on invalid policy parameters.
+    pub fn new(
+        models: &[EnergyModel],
+        n_trans: usize,
+        n_forms: usize,
+        mut form_at: impl FnMut(&EnergyModel, usize) -> PolicyForm,
+    ) -> Self {
+        assert!(
+            n_trans > 0 && !models.is_empty() && models.len().is_multiple_of(n_trans),
+            "a technology plane needs n_leak x {n_trans} models, got {}",
+            models.len()
+        );
+        let n_leak = models.len() / n_trans;
+        let fixed = |m: &EnergyModel| {
+            let t = m.tech();
+            [t.leak_ratio(), t.duty_cycle(), m.alpha()].map(f64::to_bits)
+        };
+        let knobs = |m: &EnergyModel| {
+            let t = m.tech();
+            [t.leakage_factor(), t.sleep_overhead()].map(f64::to_bits)
+        };
+        for (ix, m) in models.iter().enumerate() {
+            assert!(
+                fixed(m) == fixed(&models[0]),
+                "technology plane models must share k, d and alpha"
+            );
+            let (i, j) = (ix / n_trans, ix % n_trans);
+            assert!(
+                knobs(m) == [knobs(&models[i * n_trans])[0], knobs(&models[j])[1]],
+                "technology plane point ({i}, {j}) must take p from its row and E_slp from its column"
+            );
+        }
+        let mut slots = Vec::with_capacity(n_forms);
+        let mut shared = Vec::new();
+        let mut n_varying = 0;
+        for f in 0..n_forms {
+            let first = form_at(&models[0], f);
+            if models.iter().all(|m| form_at(m, f) == first) {
+                slots.push(PlaneSlot::Shared(shared.len()));
+                shared.push(first);
+            } else {
+                slots.push(PlaneSlot::Point(n_varying));
+                n_varying += 1;
+            }
+        }
+        let mut varying = Vec::with_capacity(models.len() * n_varying);
+        for m in models {
+            for (f, slot) in slots.iter().enumerate() {
+                if let PlaneSlot::Point(_) = slot {
+                    varying.push(form_at(m, f));
+                }
+            }
+        }
+        let row_models: Vec<EnergyModel> = (0..n_leak)
+            .map(|i| models[i * n_trans])
+            .chain(models[..n_trans].iter().copied())
+            .collect();
+        // Validate every form now rather than mid-run.
+        let mut grid = GridEval::new(&models[0], &shared);
+        for (m, forms) in models.iter().zip(varying.chunks(n_varying.max(1))) {
+            grid.renew(m, forms);
+        }
+        let runs = PlaneRuns {
+            n_leak,
+            n_trans,
+            n_shared: shared.len(),
+            n_varying,
+            rows: vec![PolicyRun::default(); row_models.len() * shared.len()],
+            points: vec![PolicyRun::default(); models.len() * n_varying],
+            slots,
+        };
+        PlaneEval {
+            models: models.to_vec(),
+            row_models,
+            shared,
+            varying,
+            grid,
+            runs,
+        }
+    }
+
+    /// Spectrum traversals one [`PlaneEval::run`] makes per spectrum:
+    /// the shared-row batches plus the per-point batches.
+    pub fn traversals(&self) -> usize {
+        let rows = if self.shared.is_empty() {
+            0
+        } else {
+            self.row_models.len().div_ceil(GridEval::PREFERRED_BATCH)
+        };
+        let points = if self.runs.n_varying == 0 {
+            0
+        } else {
+            self.models.len().div_ceil(PLANE_POINT_BATCH)
+        };
+        rows + points
+    }
+
+    /// Prices the grid at every plane point against `spectra` (with
+    /// `active_cycles[s]` active cycles alongside spectrum `s`), each
+    /// run summed over the spectra in order from
+    /// [`PolicyRun::default`] — the association a per-FU roll-up uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn run(&mut self, active_cycles: &[u64], spectra: &[IntervalSpectrum]) -> &PlaneRuns {
+        assert_eq!(
+            active_cycles.len(),
+            spectra.len(),
+            "one active-cycle count per spectrum"
+        );
+        let runs = &mut self.runs;
+        runs.rows.fill(PolicyRun::default());
+        runs.points.fill(PolicyRun::default());
+        if !self.shared.is_empty() {
+            let shared = self.shared.as_slice();
+            let width = GridEval::PREFERRED_BATCH * shared.len();
+            for (batch, dst) in self
+                .row_models
+                .chunks(GridEval::PREFERRED_BATCH)
+                .zip(runs.rows.chunks_mut(width))
+            {
+                self.grid.renew_items(batch.iter().map(|m| (m, shared)));
+                for (&active, spectrum) in active_cycles.iter().zip(spectra) {
+                    for (total, run) in dst.iter_mut().zip(self.grid.run(active, spectrum)) {
+                        *total += *run;
+                    }
+                }
+            }
+        }
+        let n_varying = runs.n_varying;
+        if n_varying > 0 {
+            let width = PLANE_POINT_BATCH * n_varying;
+            for ((batch, forms), dst) in self
+                .models
+                .chunks(PLANE_POINT_BATCH)
+                .zip(self.varying.chunks(width))
+                .zip(runs.points.chunks_mut(width))
+            {
+                self.grid
+                    .renew_items(batch.iter().zip(forms.chunks(n_varying)));
+                for (&active, spectrum) in active_cycles.iter().zip(spectra) {
+                    for (total, run) in dst.iter_mut().zip(self.grid.run(active, spectrum)) {
+                        *total += *run;
+                    }
+                }
+            }
+        }
+        &self.runs
     }
 }
 

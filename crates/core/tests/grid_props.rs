@@ -8,10 +8,12 @@
 //! mixed policy families × grid sizes (1 up to past the family count,
 //! duplicates included) and compare every `f64` by bit pattern,
 //! including degenerate spectra (empty, single-length) and interval
-//! lengths past the saturated-rewrite exactness threshold.
+//! lengths past the saturated-rewrite exactness threshold. The same
+//! contract holds for [`PlaneEval`], which shares rows across a
+//! technology plane instead of pricing every point's model.
 
 use fuleak_core::accounting::PolicyRun;
-use fuleak_core::policy_eval::{spectrum_run, GridEval, PolicyForm};
+use fuleak_core::policy_eval::{spectrum_run, GridEval, PlaneEval, PolicyForm};
 use fuleak_core::{breakeven_interval, EnergyModel, IntervalSpectrum, TechnologyParams};
 use proptest::prelude::*;
 
@@ -216,5 +218,158 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A `p × E_slp` plane of models at fixed `k`, `d`, `α`, row-major.
+fn plane_models(
+    leaks: &[f64],
+    transitions: &[f64],
+    k: f64,
+    d: f64,
+    alpha: f64,
+) -> Vec<EnergyModel> {
+    leaks
+        .iter()
+        .flat_map(|&p| {
+            transitions.iter().map(move |&e| {
+                EnergyModel::new(TechnologyParams::new(p, k, e, d).expect("fractions"), alpha)
+                    .expect("alpha in range")
+            })
+        })
+        .collect()
+}
+
+/// The form positions a plane draws from, resolved at one point: fixed
+/// forms the plane shares, and forms derived from the point's
+/// breakeven interval (clamped as the explorer clamps them), which
+/// vary over it — all six families, GradualSleep both ways.
+fn plane_pool(model: &EnergyModel) -> Vec<PolicyForm> {
+    let be = breakeven_interval(model);
+    vec![
+        PolicyForm::AlwaysActive,
+        PolicyForm::MaxSleep,
+        PolicyForm::NoOverhead,
+        PolicyForm::GradualSleep { slices: 1 },
+        PolicyForm::GradualSleep { slices: 7 },
+        PolicyForm::GradualSleep { slices: 2047 },
+        PolicyForm::GradualSleep {
+            slices: be.round().clamp(1.0, 1024.0) as u32,
+        },
+        PolicyForm::TimeoutSleep { timeout: 3 },
+        PolicyForm::TimeoutSleep {
+            timeout: be.round().clamp(1.0, 1e9) as u64,
+        },
+        PolicyForm::AdaptiveSleep {
+            breakeven: 4.5,
+            weight: 1.0,
+        },
+        PolicyForm::AdaptiveSleep {
+            breakeven: be.clamp(1e-6, 1e9),
+            weight: 0.25,
+        },
+    ]
+}
+
+prop_compose! {
+    /// A plane axis: 1–4 fractions, the ends and a repeatable midpoint
+    /// over-weighted so axes hold `0.0`, `1.0` and repeated values.
+    fn plane_axis()(
+        values in proptest::collection::vec(
+            prop_oneof![Just(0.0), Just(1.0), Just(0.5), 0.0f64..=1.0],
+            1..5),
+    ) -> Vec<f64> {
+        values
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every point of a random plane, every form position, on a warm
+    /// evaluator over successive multi-spectrum workloads: the plane's
+    /// run ≡ the scalar evaluator under that point's own model, summed
+    /// over the spectra in order from `PolicyRun::default()` (the
+    /// per-FU roll-up), on all nine fields, bit for bit.
+    #[test]
+    fn plane_equals_scalar_per_point_bit_for_bit(
+        workloads in proptest::collection::vec(
+            proptest::collection::vec(workload(), 1..4),
+            1..3),
+        leaks in plane_axis(),
+        transitions in plane_axis(),
+        k in 0.0f64..=1.0,
+        d in 0.0f64..=1.0,
+        alpha in 0.05f64..=0.95,
+        picks in proptest::collection::vec(0usize..1000, 1..10),
+    ) {
+        let models = plane_models(&leaks, &transitions, k, d, alpha);
+        let n_trans = transitions.len();
+        let form_at = |model: &EnergyModel, f: usize| {
+            let pool = plane_pool(model);
+            pool[picks[f] % pool.len()]
+        };
+        let mut plane = PlaneEval::new(&models, n_trans, picks.len(), form_at);
+        for parts in workloads {
+            let spectra: Vec<IntervalSpectrum> = parts
+                .iter()
+                .map(|(intervals, _)| IntervalSpectrum::from_lengths(intervals))
+                .collect();
+            let active: Vec<u64> = parts.iter().map(|&(_, a)| a).collect();
+            let runs = plane.run(&active, &spectra);
+            for (ix, model) in models.iter().enumerate() {
+                let (i, j) = (ix / n_trans, ix % n_trans);
+                for f in 0..picks.len() {
+                    let form = form_at(model, f);
+                    let mut want = PolicyRun::default();
+                    for (&a, spectrum) in active.iter().zip(&spectra) {
+                        want += spectrum_run(model, form, a, spectrum);
+                    }
+                    prop_assert_eq!(bits(&runs.point(i, j, f)), bits(&want));
+                }
+            }
+        }
+    }
+}
+
+/// A 2 × 2 plane at `k = 0.001`, `d = 0.5`, `α = 0.5` with one knob
+/// of one point replaced.
+fn plane_with(point: usize, bad: (f64, f64, f64, f64, f64)) -> Vec<EnergyModel> {
+    let mut models = plane_models(&[0.1, 0.6], &[0.0, 0.3], 0.001, 0.5, 0.5);
+    let (p, k, e, d, alpha) = bad;
+    models[point] = EnergyModel::new(TechnologyParams::new(p, k, e, d).unwrap(), alpha).unwrap();
+    models
+}
+
+fn plane_panic(models: &[EnergyModel]) -> String {
+    let err =
+        std::panic::catch_unwind(|| PlaneEval::new(models, 2, 1, |_, _| PolicyForm::MaxSleep))
+            .expect_err("plane must be rejected");
+    match err.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(err) => err
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |m| m.to_string()),
+    }
+}
+
+#[test]
+fn plane_rejects_models_that_disagree_on_k_d_or_alpha() {
+    // Point (1, 1) is p = 0.6, E_slp = 0.3; change k, then d, then α.
+    for bad in [
+        (0.6, 0.002, 0.3, 0.5, 0.5),
+        (0.6, 0.001, 0.3, 0.4, 0.5),
+        (0.6, 0.001, 0.3, 0.5, 0.7),
+    ] {
+        let msg = plane_panic(&plane_with(3, bad));
+        assert!(msg.contains("must share k, d and alpha"), "{msg}");
+    }
+    // A point off its row's p or its column's E_slp is no plane either.
+    for bad in [(0.5, 0.001, 0.3, 0.5, 0.5), (0.6, 0.001, 0.2, 0.5, 0.5)] {
+        let msg = plane_panic(&plane_with(3, bad));
+        assert!(
+            msg.contains("p from its row and E_slp from its column"),
+            "{msg}"
+        );
     }
 }

@@ -270,6 +270,18 @@ mod tests {
     }
 
     #[test]
+    fn fraction_range_rounding_past_one_builds_a_valid_spec() {
+        // 0.09 + 13 * 0.07 rounds to 1.0000000000000002; the expansion
+        // clamps it, so the spec builder accepts the axis.
+        let leaks = parse_fraction_steps("--leak", "0.09:1:0.07").unwrap();
+        assert_eq!(leaks.len(), 14);
+        assert_eq!(leaks.last(), Some(&1.0));
+        let spec =
+            apply_explore_flag(ExploreSpec::new(Budget::Quick), "--leak", "0.09:1:0.07").unwrap();
+        assert_eq!(spec.leak_values(), leaks.as_slice());
+    }
+
+    #[test]
     fn explore_flags_shape_the_spec() {
         let spec = ExploreSpec::new(Budget::Quick);
         let spec = apply_explore_flag(spec, "--bench", "gzip,vpr").unwrap();

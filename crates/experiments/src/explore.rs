@@ -36,9 +36,8 @@ use crate::harness::{run_benchmark_on, BenchRun, Budget};
 use crate::policy::{PolicyKind, EVAL_ALPHA};
 use crate::result::{Cell, ResultTable};
 use crate::scenario::{parallel_map, Engine, SweepSpec, FU_CANDIDATES};
-use fuleak_core::accounting::PolicyRun;
 use fuleak_core::fxhash::FxHashSet;
-use fuleak_core::policy_eval::{GridEval, PolicyForm};
+use fuleak_core::policy_eval::{PlaneEval, PlaneRuns};
 use fuleak_core::tech::{DEFAULT_DUTY_CYCLE, DEFAULT_LEAK_RATIO};
 use fuleak_core::{EnergyModel, TechnologyParams};
 use fuleak_workloads::Benchmark;
@@ -56,7 +55,10 @@ const CHUNK_ITEMS: usize = 64;
 /// value list: `lo + i * step` for `i = 0..=floor((hi - lo) / step)`
 /// (with a small tolerance so `0:1:0.02` lands exactly on 51 values).
 /// The same expression the CLI's range grammar evaluates, so a flag
-/// value and a built-in default can never drift apart bitwise.
+/// value and a built-in default can never drift apart bitwise. A value
+/// that rounds past 1 (`0.09:1:0.07` reaches `1.0000000000000002`) is
+/// clamped to 1, so every expansion is a valid fraction; values at or
+/// below 1 keep their bits.
 ///
 /// # Panics
 ///
@@ -75,7 +77,9 @@ pub fn fraction_steps(lo: f64, hi: f64, step: f64) -> Vec<f64> {
         "fraction range step must be positive, got {step}"
     );
     let count = ((hi - lo) / step + 1e-9).floor() as usize;
-    (0..=count).map(|i| lo + i as f64 * step).collect()
+    (0..=count)
+        .map(|i| (lo + i as f64 * step).min(1.0))
+        .collect()
 }
 
 /// The explorer's design space: benchmarks × policy families ×
@@ -322,13 +326,12 @@ fn frontier_insert(frontier: &mut Vec<GridPoint>, p: GridPoint) {
 
 /// One chunk's fold: per-`(bench, family)` optima, per-bench frontier
 /// survivors, partial `E/E_max` sums per `(leak, gradual slice)`
-/// cell, and the grid-kernel work counters.
+/// cell, and the priced point count.
 struct ChunkFold {
     best: Vec<Option<GridPoint>>,
     best_energy: Vec<f64>,
     frontiers: Vec<Vec<GridPoint>>,
     sums: Vec<f64>,
-    batches: usize,
     points: u64,
 }
 
@@ -407,6 +410,32 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     }
 
     let (n_leak, n_trans) = (spec.leaks.len(), spec.transitions.len());
+    // The technology plane, row-major: one row per leakage factor, one
+    // column per transition cost.
+    let models: Vec<EnergyModel> = spec
+        .leaks
+        .iter()
+        .flat_map(|&leak| spec.transitions.iter().map(move |&tr| model_at(leak, tr)))
+        .collect();
+    let plane = PlaneEval::new(&models, n_trans, combos.len(), |model, combo_i| {
+        let (kind, slices) = combos[combo_i];
+        kind.form(model, slices)
+    });
+    // Each benchmark's plane, priced once over its FUs' spectra in FU
+    // order — the association `policy_energy_of` uses, so every point
+    // is bit-identical to the scalar `spectrum_run` path. Pure per
+    // benchmark, so the order workers take them in cannot matter.
+    let planes: Vec<PlaneRuns> = parallel_map(engine.jobs(), runs.iter().collect(), |run| {
+        plane
+            .clone()
+            .run(&run.sim.fu_active, &run.sim.fu_idle)
+            .clone()
+    });
+    let batches = runs
+        .iter()
+        .map(|run| plane.traversals() * run.sim.fu_idle.len())
+        .sum();
+
     let n_items = spec.items();
     let chunks: Vec<(usize, usize)> = (0..n_items)
         .step_by(CHUNK_ITEMS)
@@ -419,90 +448,36 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
             best_energy: vec![0.0; runs.len() * families.len()],
             frontiers: vec![Vec::new(); runs.len()],
             sums: vec![0.0; n_leak * gradual_slices.len()],
-            batches: 0,
             points: 0,
         };
-        let mut models: Vec<EnergyModel> = Vec::with_capacity(GridEval::PREFERRED_BATCH);
-        let mut forms_buf: Vec<Vec<PolicyForm>> = Vec::new();
-        let mut totals: Vec<PolicyRun> = Vec::new();
-        // One kernel per chunk, re-targeted per GROUP of up to
-        // `PREFERRED_BATCH` consecutive same-benchmark items (they
-        // share spectra, so one traversal prices the whole group);
-        // `renew_batch` reuses the lane allocations and (the slice set
-        // being fixed) the ramp tables across the chunk's groups.
-        // Group segmentation depends only on item indices, so shard
-        // boundaries never move with the worker count.
-        let mut grid: Option<GridEval> = None;
-        let mut item = start;
-        while item < end {
+        for item in start..end {
             let bench_i = item / (n_leak * n_trans);
-            let bench_end = (bench_i + 1) * (n_leak * n_trans);
-            let g_end = end.min(bench_end).min(item + GridEval::PREFERRED_BATCH);
-            models.clear();
-            for it in item..g_end {
-                let leak_i = it / n_trans % n_leak;
-                let trans_i = it % n_trans;
-                models.push(model_at(spec.leaks[leak_i], spec.transitions[trans_i]));
-            }
-            while forms_buf.len() < models.len() {
-                forms_buf.push(Vec::with_capacity(combos.len()));
-            }
-            for (model, forms) in models.iter().zip(forms_buf.iter_mut()) {
-                forms.clear();
-                forms.extend(combos.iter().map(|&(k, s)| k.form(model, s)));
-            }
-            let batch: Vec<(&EnergyModel, &[PolicyForm])> = models
-                .iter()
-                .zip(forms_buf.iter())
-                .map(|(model, forms)| (model, forms.as_slice()))
-                .collect();
-            let grid = match &mut grid {
-                Some(grid) => {
-                    grid.renew_batch(&batch);
-                    grid
-                }
-                none => none.insert(GridEval::new_batch(&batch)),
-            };
-            // Per-FU accumulation in FU order — the exact association
-            // `policy_energy_of` uses, so every total is bit-identical
-            // to the scalar `spectrum_run` path.
-            totals.clear();
-            totals.resize(grid.grid_len(), PolicyRun::default());
-            let sim = &runs[bench_i].sim;
-            for (fu, spectrum) in sim.fu_idle.iter().enumerate() {
-                for (total, run) in totals.iter_mut().zip(grid.run(sim.fu_active[fu], spectrum)) {
-                    *total += *run;
-                }
-                fold.batches += 1;
-            }
-            for (g_i, it) in (item..g_end).enumerate() {
-                let leak_i = it / n_trans % n_leak;
-                let trans_i = it % n_trans;
-                let model = &models[g_i];
-                fold.points += combos.len() as u64;
-                let item_totals = &totals[g_i * combos.len()..(g_i + 1) * combos.len()];
-                for (combo_i, total) in item_totals.iter().enumerate() {
-                    let p = GridPoint {
-                        ratio: total.normalized_to_max(model),
-                        trans: total.transitions_equiv,
-                        leak_i,
-                        trans_i,
-                        combo_i,
-                    };
-                    let slot = bench_i * families.len() + combo_family[combo_i];
-                    fold_best(
-                        &mut fold.best[slot],
-                        p,
-                        &mut fold.best_energy[slot],
-                        total.energy.total(),
-                    );
-                    frontier_insert(&mut fold.frontiers[bench_i], p);
-                    if let Some(g) = combo_gradual[combo_i] {
-                        fold.sums[leak_i * gradual_slices.len() + g] += p.ratio;
-                    }
+            let leak_i = item / n_trans % n_leak;
+            let trans_i = item % n_trans;
+            let model = &models[leak_i * n_trans + trans_i];
+            let plane = &planes[bench_i];
+            fold.points += combos.len() as u64;
+            for combo_i in 0..combos.len() {
+                let total = plane.point(leak_i, trans_i, combo_i);
+                let p = GridPoint {
+                    ratio: total.normalized_to_max(model),
+                    trans: total.transitions_equiv,
+                    leak_i,
+                    trans_i,
+                    combo_i,
+                };
+                let slot = bench_i * families.len() + combo_family[combo_i];
+                fold_best(
+                    &mut fold.best[slot],
+                    p,
+                    &mut fold.best_energy[slot],
+                    total.energy.total(),
+                );
+                frontier_insert(&mut fold.frontiers[bench_i], p);
+                if let Some(g) = combo_gradual[combo_i] {
+                    fold.sums[leak_i * gradual_slices.len() + g] += p.ratio;
                 }
             }
-            item = g_end;
         }
         fold
     });
@@ -514,7 +489,7 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     let mut best_energy = vec![0.0; runs.len() * families.len()];
     let mut frontiers: Vec<Vec<GridPoint>> = vec![Vec::new(); runs.len()];
     let mut sums = vec![0.0; n_leak * gradual_slices.len()];
-    let (mut batches, mut points) = (0usize, 0u64);
+    let mut points = 0;
     for fold in folds {
         for (slot, p) in fold.best.into_iter().enumerate() {
             if let Some(p) = p {
@@ -534,7 +509,6 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         for (cell, s) in sums.iter_mut().zip(&fold.sums) {
             *cell += s;
         }
-        batches += fold.batches;
         points += fold.points;
     }
     engine.note_grid(batches, points);
@@ -651,7 +625,7 @@ mod tests {
         assert_eq!(spec.transitions.len(), 51);
         assert_eq!(spec.form_combos().len(), 4 + 64);
         assert_eq!(spec.items(), 9 * 51 * 51);
-        assert!(spec.points() >= 1_000_000, "{} points", spec.points());
+        assert_eq!(spec.points(), 1_591_812);
     }
 
     #[test]
@@ -664,6 +638,18 @@ mod tests {
         // `--leak 0:1:0.02` reproduces the default axis bit-for-bit.
         let spec = ExploreSpec::new(Budget::Quick);
         assert_eq!(spec.leaks, fraction_steps(0.0, 1.0, 0.02));
+    }
+
+    #[test]
+    fn fraction_steps_clamp_an_overshoot_past_one() {
+        let steps = fraction_steps(0.09, 1.0, 0.07);
+        assert_eq!(steps.len(), 14);
+        assert_eq!(steps.last(), Some(&1.0));
+        // An overshoot that stays within [0, 1] keeps its bits.
+        assert_eq!(
+            fraction_steps(0.1, 0.3, 0.1).last(),
+            Some(&(0.1 + 2.0 * 0.1))
+        );
     }
 
     #[test]
@@ -731,33 +717,46 @@ mod tests {
         assert_eq!(g[0].combo_i, 7);
     }
 
-    /// A tiny grid, explored end-to-end: the optima agree with a
-    /// brute-force scalar scan over the same canonical order, and the
-    /// whole output is byte-identical across worker counts.
+    /// All six families, in the order the optima rows list them.
+    const ALL_FAMILIES: [PolicyKind; 6] = [
+        PolicyKind::MaxSleep,
+        PolicyKind::GradualSleep,
+        PolicyKind::AlwaysActive,
+        PolicyKind::NoOverhead,
+        PolicyKind::TimeoutSleep,
+        PolicyKind::AdaptiveSleep,
+    ];
+
+    /// A tiny grid over all six families, explored end-to-end: the
+    /// optima (shared-row and per-point forms alike) agree with a
+    /// brute-force scalar scan over the same canonical order, the
+    /// traversal counter is pinned, and the whole output is
+    /// byte-identical across worker counts.
     #[test]
     fn explore_matches_scalar_scan_and_is_jobs_invariant() {
         let spec = ExploreSpec::new(Budget::Custom(5_000))
             .benches(["mst", "gzip"])
-            .policies([PolicyKind::MaxSleep, PolicyKind::GradualSleep])
+            .policies(ALL_FAMILIES)
             .slices([2, 8])
-            .leaks([0.05, 0.5])
+            .leaks([0.05, 0.5, 0.9])
             .transitions([0.01, 0.2]);
         let engine = Engine::new(4);
         let result = explore(&engine, &spec);
-        assert_eq!(result.points, 2 * 2 * 2 * 3);
+        assert_eq!(result.points, 2 * 3 * 2 * 7);
         let stats = engine.stats();
         assert_eq!(stats.grid_points, result.points);
-        assert!(stats.grid_batches > 0);
 
         // Brute force with the scalar evaluator, same canonical order.
         let combos = spec.form_combos();
         let mut expected: Vec<(f64, f64)> = Vec::new(); // (ratio, trans) per best slot
+        let mut fus = 0;
         for name in ["mst", "gzip"] {
             let bench = Benchmark::by_name(name).unwrap();
             let run = run_benchmark_on(&engine, bench, EXPLORE_L2, spec.budget());
-            for family in [PolicyKind::MaxSleep, PolicyKind::GradualSleep] {
+            fus += run.sim.fu_idle.len();
+            for family in ALL_FAMILIES {
                 let mut best: Option<(f64, f64)> = None;
-                for &leak in &[0.05, 0.5] {
+                for &leak in &[0.05, 0.5, 0.9] {
                     for &tr in &[0.01, 0.2] {
                         for &(kind, slices) in &combos {
                             if kind != family {
@@ -776,10 +775,18 @@ mod tests {
                 expected.push(best.unwrap());
             }
         }
+        assert_eq!(result.optima.rows().len(), expected.len());
         for (row, (ratio, trans)) in result.optima.rows().iter().zip(expected) {
             assert_eq!(row[7].text(), format!("{ratio:.4}"));
             assert_eq!(row[8].text(), format!("{trans:.1}"));
         }
+
+        // Traversals per FU spectrum: two shared-row batches (the 3 `p`
+        // rows and 2 `E_slp` rows, four models a batch) plus one
+        // per-point batch (the six points' TimeoutSleep and
+        // AdaptiveSleep forms).
+        assert_eq!(fus, 5);
+        assert_eq!(stats.grid_batches, 3 * 5);
 
         // Worker-count invariance, the determinism contract.
         let sequential = explore(&Engine::sequential(), &spec);

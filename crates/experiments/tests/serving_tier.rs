@@ -256,3 +256,33 @@ fn graceful_shutdown_drains_the_in_flight_request() {
         "stopped server must release its address"
     );
 }
+
+/// A fraction range whose last step rounds past 1 (`0.09:1:0.07`
+/// reaches `1.0000000000000002`) is a valid exploration: it is served,
+/// and the single worker that served it is still there for the next
+/// request.
+#[test]
+fn explore_range_rounding_past_one_is_served_and_keeps_the_worker() {
+    let engine = Arc::new(Engine::new(1));
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server =
+        Server::bind_with("127.0.0.1:0", Arc::clone(&engine), BUDGET, config).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    let (head, body) = get(
+        addr,
+        "/explore?bench=gzip&slices=1&leak=0.09:1:0.07&transition=0&format=json",
+    );
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let body = String::from_utf8(body).expect("UTF-8 body");
+    assert!(body.contains("\"explore-optima\""), "{body}");
+
+    let (head, body) = get(addr, "/health");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, b"ok\n");
+    handle.stop();
+}
