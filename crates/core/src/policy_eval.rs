@@ -198,6 +198,18 @@ fn check_adaptive(breakeven: f64, weight: f64) {
     );
 }
 
+/// Every form's parameter contract, as the grid kernel enforces it
+/// when it builds lanes.
+fn check_form(form: PolicyForm) {
+    match form {
+        PolicyForm::GradualSleep { slices } => {
+            assert!(slices > 0, "GradualSleep requires at least one slice");
+        }
+        PolicyForm::AdaptiveSleep { breakeven, weight } => check_adaptive(breakeven, weight),
+        _ => {}
+    }
+}
+
 /// Closed-form energy breakdown of a **single** idle interval of `t`
 /// cycles under `policy`, driven by a *fresh* controller (AdaptiveSleep
 /// starts at its neutral prediction). Exact against
@@ -1301,17 +1313,16 @@ impl GridEval {
             self.fam_tr_o.push(tr.overhead);
             for (slot, &form) in forms.iter().enumerate() {
                 let out = out_len + slot;
+                check_form(form);
                 match form {
                     PolicyForm::AlwaysActive => self.aa.push((out, item)),
                     PolicyForm::MaxSleep => self.ms.push((out, item)),
                     PolicyForm::NoOverhead => self.no.push((out, item)),
                     PolicyForm::GradualSleep { slices } => {
-                        assert!(slices > 0, "GradualSleep requires at least one slice");
                         gs_params.push((u64::from(slices), item, out));
                     }
                     PolicyForm::TimeoutSleep { timeout } => ts_params.push((timeout, item, out)),
                     PolicyForm::AdaptiveSleep { breakeven, weight } => {
-                        check_adaptive(breakeven, weight);
                         self.ad.push(AdLane {
                             slot: out,
                             breakeven,
@@ -1709,7 +1720,7 @@ impl GridEval {
 const PLANE_POINT_BATCH: usize = 64;
 
 /// Where a [`PlaneEval`] prices one form position.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum PlaneSlot {
     /// The same form at every point: index into the shared forms.
     Shared(usize),
@@ -1788,8 +1799,8 @@ impl PlaneRuns {
 /// traversal.
 ///
 /// [`PlaneEval::run`] sums each lane over a list of spectra in order —
-/// how a multi-FU workload's per-FU runs roll up — and is
-/// allocation-free after [`PlaneEval::new`].
+/// how a multi-FU workload's per-FU runs roll up — re-targeting one
+/// warm kernel per batch and reusing its output buffers across calls.
 #[derive(Debug, Clone)]
 pub struct PlaneEval {
     /// Every point's model, row-major (`leak_i * n_trans + trans_i`).
@@ -1873,11 +1884,10 @@ impl PlaneEval {
             .map(|i| models[i * n_trans])
             .chain(models[..n_trans].iter().copied())
             .collect();
-        // Validate every form now rather than mid-run.
-        let mut grid = GridEval::new(&models[0], &shared);
-        for (m, forms) in models.iter().zip(varying.chunks(n_varying.max(1))) {
-            grid.renew(m, forms);
-        }
+        // Reject invalid forms here rather than mid-run (building the
+        // kernel checks the shared ones).
+        varying.iter().copied().for_each(check_form);
+        let grid = GridEval::new(&models[0], &shared);
         let runs = PlaneRuns {
             n_leak,
             n_trans,

@@ -10,8 +10,10 @@
 //! round-trip costs more than the evaluation it memoizes, and a
 //! materialized row list is gigabytes.
 //!
-//! This module prices the grid with [`GridEval`] — G policy forms per
-//! spectrum traversal — and streams three digests instead of rows:
+//! This module prices the grid with [`PlaneEval`] — each benchmark's
+//! `p × E_slp` technology plane priced once per axis value for the
+//! forms every point shares, per point only for the breakeven-derived
+//! ones — and streams three digests instead of rows:
 //!
 //! * **optima** — the best `E/E_max` cell per benchmark × policy
 //!   family;
@@ -22,9 +24,11 @@
 //!   count with the lowest mean `E/E_max` (the Figure 9 crossover
 //!   question asked over the whole grid).
 //!
-//! Work is sharded over [`parallel_map`] in **fixed-size chunks of
-//! the canonical item order** (benchmark-major, then leakage, then
-//! transition cost), independent of the worker count: every chunk
+//! Work is sharded over [`parallel_map`] twice: the planes one
+//! benchmark per task (pure, so task order cannot matter), then the
+//! fold in **fixed-size chunks of the canonical item order**
+//! (benchmark-major, then leakage, then transition cost), independent
+//! of the worker count: every chunk
 //! folds its items into an accumulator sequentially, and the main
 //! thread merges chunk accumulators in chunk order — so output is
 //! byte-identical for any `--jobs N`, with `O(frontier)` memory, and
@@ -262,9 +266,11 @@ impl ExploreSpec {
         out
     }
 
-    /// Technology items in the grid: benchmarks × leaks × transitions
-    /// (each prices [`ExploreSpec::form_combos`] forms in one
-    /// [`GridEval`] pass per FU).
+    /// Technology items in the grid: benchmarks × leaks × transitions,
+    /// each one point of its benchmark's technology plane carrying
+    /// [`ExploreSpec::form_combos`] forms. Items are the unit of the
+    /// fold's canonical order; the pricing itself is per plane row
+    /// (see [`PlaneEval`]), not per item.
     pub fn items(&self) -> usize {
         self.benches.len() * self.leaks.len() * self.transitions.len()
     }
@@ -359,11 +365,11 @@ fn model_at(leak: f64, transition: f64) -> EnergyModel {
 
 /// Runs one exploration: simulates the substrate (each benchmark at
 /// its paper-selected FU count, through the engine's caches as
-/// usual), then prices the whole grid with [`GridEval`] — one kernel
-/// per technology item, one spectrum traversal per FU for all G
-/// forms, no [`crate::policy::PolicyCache`] traffic — and folds the
-/// three digests. Output is byte-identical for any engine worker
-/// count; grid batch/point counters land in
+/// usual), then prices each benchmark's technology plane with one
+/// [`PlaneEval`] run over its FU spectra — no
+/// [`crate::policy::PolicyCache`] traffic — and folds the three
+/// digests. Output is byte-identical for any engine worker count;
+/// plane traversal and point counters land in
 /// [`crate::scenario::EngineStats`].
 pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     // Substrate: fan the FU-candidate points out across workers, then

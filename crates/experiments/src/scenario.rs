@@ -919,8 +919,13 @@ pub struct EngineStats {
     /// Points that fell back to the scalar kernel during primed
     /// sweeps (singleton geometry groups, or batching disabled).
     pub scalar_fallbacks: usize,
-    /// Grid-kernel batches the explorer dispatched (one spectrum
-    /// traversal pricing a whole policy grid; see [`crate::explore`]).
+    /// Plane traversals the explorer made: spectrum traversals of
+    /// the technology-plane evaluator
+    /// ([`fuleak_core::PlaneEval::traversals`] per FU spectrum), each
+    /// pricing a batch of shared rows or of per-point forms. A
+    /// deterministic work count, fixed by the spec and the FU counts
+    /// (1,742 for the default quick grid), shown as "N traversals" in
+    /// the engine summary.
     pub grid_batches: usize,
     /// Policy points priced through the grid kernel (these bypass the
     /// [`PolicyCache`], so they appear here and not in the policy
@@ -1364,7 +1369,7 @@ impl Engine {
     }
 
     /// Records one grid-kernel contribution from the explorer:
-    /// `batches` spectrum traversals priced `points` policy points
+    /// `batches` plane traversals priced `points` policy points
     /// (see [`crate::explore`]). The grid path bypasses the
     /// [`PolicyCache`], so these counters — not the policy-cache
     /// ones — are its footprint in [`EngineStats`].
