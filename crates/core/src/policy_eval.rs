@@ -1153,9 +1153,6 @@ struct AdLane {
 pub struct GridEval {
     /// Items in the batch; the single-model constructors make this 1.
     n_items: usize,
-    /// Items with family lanes: `n_items` when the batch holds any
-    /// AlwaysActive/MaxSleep/NoOverhead form, else 0.
-    n_fam_items: usize,
     // Per-item per-cycle model constants, indexed by item — the family
     // pass's lane-constant arrays.
     fam_ui_lh: Vec<f64>,
@@ -1231,7 +1228,6 @@ impl GridEval {
     pub fn new_batch(items: &[(&EnergyModel, &[PolicyForm])]) -> Self {
         let mut grid = GridEval {
             n_items: 0,
-            n_fam_items: 0,
             fam_ui_lh: Vec::new(),
             fam_ui_ll: Vec::new(),
             fam_sl_ll: Vec::new(),
@@ -1340,14 +1336,6 @@ impl GridEval {
         }
         self.n_items = self.item_act.len();
         assert!(self.n_items > 0, "renew_batch needs at least one item");
-        // The parameterless families price one lane per item each, so a
-        // batch without them (TimeoutSleep-only items, say) skips the
-        // family pass instead of pricing three unread lanes per item.
-        self.n_fam_items = if self.aa.is_empty() && self.ms.is_empty() && self.no.is_empty() {
-            0
-        } else {
-            self.n_items
-        };
         gs_params.sort_unstable();
         let same_slices = self.gs.slices.len() == gs_params.len()
             && gs_params
@@ -1426,7 +1414,7 @@ impl GridEval {
         self.act_trn.clear();
         self.act_ovh.clear();
         for _family in 0..3 {
-            for act in &self.item_act[..self.n_fam_items] {
+            for act in &self.item_act {
                 self.act_lh.push(act.leak_hi);
                 self.act_ll.push(act.leak_lo);
                 self.act_trn.push(act.transition);
@@ -1442,7 +1430,7 @@ impl GridEval {
         }
         self.dyn_scratch.resize(self.n_items, 0.0);
         self.acc
-            .resize(3 * self.n_fam_items + self.gs.slot.len() + self.ts.slot.len());
+            .resize(3 * self.n_items + self.gs.slot.len() + self.ts.slot.len());
         self.out.resize(out_len, PolicyRun::default());
     }
 
@@ -1481,7 +1469,7 @@ impl GridEval {
             &self.act_ovh,
             cycles_f,
         );
-        let n_fam = 3 * self.n_fam_items;
+        let n_fam = 3 * self.n_items;
         let n_gs = self.gs.slot.len();
         let n_ts = self.ts.slot.len();
         let gs0 = n_fam;
@@ -1503,23 +1491,21 @@ impl GridEval {
         // vectorized over the batch (the per-entry, per-lane deltas
         // are exactly the scalar evaluator's per-interval values times
         // the entry count, added in the same ascending order).
-        if self.n_fam_items > 0 {
-            fam_pass(
-                f_lh,
-                f_ll,
-                f_trn,
-                f_ovh,
-                f_uie,
-                f_slp,
-                f_teq,
-                &self.fam_ui_lh,
-                &self.fam_ui_ll,
-                &self.fam_sl_ll,
-                &self.fam_tr_t,
-                &self.fam_tr_o,
-                entries,
-            );
-        }
+        fam_pass(
+            f_lh,
+            f_ll,
+            f_trn,
+            f_ovh,
+            f_uie,
+            f_slp,
+            f_teq,
+            &self.fam_ui_lh,
+            &self.fam_ui_ll,
+            &self.fam_sl_ll,
+            &self.fam_tr_t,
+            &self.fam_tr_o,
+            entries,
+        );
         // Parameterized families next. The rolling partition points
         // into the sorted lane arrays — the saturated GradualSleep
         // prefix and the sleeping TimeoutSleep prefix — only ever
@@ -1664,7 +1650,7 @@ impl GridEval {
             *dynamic = act.dynamic * cycles_f;
         }
         let acc = &self.acc;
-        let m = self.n_fam_items;
+        let m = self.n_items;
         for &(slot, item) in &self.aa {
             self.out[slot] = acc.fold(item, self.dyn_scratch[item], active_cycles);
         }

@@ -331,14 +331,13 @@ fn frontier_insert(frontier: &mut Vec<GridPoint>, p: GridPoint) {
 }
 
 /// One chunk's fold: per-`(bench, family)` optima, per-bench frontier
-/// survivors, partial `E/E_max` sums per `(leak, gradual slice)`
-/// cell, and the priced point count.
+/// survivors, and partial `E/E_max` sums per `(leak, gradual slice)`
+/// cell.
 struct ChunkFold {
     best: Vec<Option<GridPoint>>,
     best_energy: Vec<f64>,
     frontiers: Vec<Vec<GridPoint>>,
     sums: Vec<f64>,
-    points: u64,
 }
 
 /// The three streamed digests of one exploration, plus the priced
@@ -454,7 +453,6 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
             best_energy: vec![0.0; runs.len() * families.len()],
             frontiers: vec![Vec::new(); runs.len()],
             sums: vec![0.0; n_leak * gradual_slices.len()],
-            points: 0,
         };
         for item in start..end {
             let bench_i = item / (n_leak * n_trans);
@@ -462,7 +460,6 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
             let trans_i = item % n_trans;
             let model = &models[leak_i * n_trans + trans_i];
             let plane = &planes[bench_i];
-            fold.points += combos.len() as u64;
             for combo_i in 0..combos.len() {
                 let total = plane.point(leak_i, trans_i, combo_i);
                 let p = GridPoint {
@@ -495,7 +492,6 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     let mut best_energy = vec![0.0; runs.len() * families.len()];
     let mut frontiers: Vec<Vec<GridPoint>> = vec![Vec::new(); runs.len()];
     let mut sums = vec![0.0; n_leak * gradual_slices.len()];
-    let mut points = 0;
     for fold in folds {
         for (slot, p) in fold.best.into_iter().enumerate() {
             if let Some(p) = p {
@@ -515,8 +511,8 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         for (cell, s) in sums.iter_mut().zip(&fold.sums) {
             *cell += s;
         }
-        points += fold.points;
     }
+    let points = n_items as u64 * combos.len() as u64;
     engine.note_grid(batches, points);
 
     let slices_cell = |combo_i: usize| match combos[combo_i].1 {
